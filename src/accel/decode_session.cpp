@@ -1,7 +1,5 @@
 #include "accel/decode_session.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 
 namespace spatten {
@@ -20,25 +18,6 @@ DecodeSession::DecodeSession(const SpAttenConfig& cfg,
                    "context %zu exceeds SRAM-backed max %zu",
                    workload_.summarize_len + workload_.generate_len,
                    cfg.max_context);
-}
-
-double
-DecodeSession::prefill()
-{
-    return prefillWithCachedPrefix(0);
-}
-
-double
-DecodeSession::prefillWithCachedPrefix(std::size_t cached_prefix_tokens)
-{
-    SPATTEN_ASSERT(!prefilled_, "prefill() called twice");
-    if (workload_.skip_summarization)
-        return prefillChunk(0, workload_.summarize_len);
-    // Always recompute at least the last prompt token (vLLM semantics:
-    // a fully cached prompt still needs a pass to emit first logits).
-    const std::size_t cached =
-        std::min(cached_prefix_tokens, workload_.summarize_len - 1);
-    return prefillChunk(cached, workload_.summarize_len - cached);
 }
 
 double

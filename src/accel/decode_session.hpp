@@ -65,30 +65,6 @@ class DecodeSession : public BackendSession
     DecodeSession& operator=(const DecodeSession&) = delete;
 
     /**
-     * Process the prompt (summarization pass) and establish the initial
-     * cascade-pruned KV state. Workloads with skip_summarization (the
-     * paper's GPT-2 methodology: a pre-summarized sentence) charge no
-     * prefill time and enter decode with the full unpruned prompt KV.
-     * @return simulated seconds of the pass.
-     */
-    double prefill() override;
-
-    /**
-     * Prefill with the first @p cached_prefix_tokens tokens' KV already
-     * resident (mapped copy-free by the serving layer's shared-prefix
-     * cache): only the remaining suffix queries run through the stage
-     * graph, against the full prompt context. Cascade pruning depends
-     * only on the entering context length and the schedule — never on
-     * the query count — so the pruned KV trajectory (and with it every
-     * decode step) is bit-identical to a cold-cache prefill; only the
-     * prefill compute shrinks. The hint is capped at summarize_len - 1:
-     * like vLLM, the last prompt token is always recomputed so a fully
-     * cached prompt still produces its first logits.
-     */
-    double prefillWithCachedPrefix(std::size_t cached_prefix_tokens)
-        override;
-
-    /**
      * One chunk of a split prefill: run prompt tokens
      * [offset, offset + len) as the pass's queries against the causal
      * context offset + len. ExecutionContext::beginPass resets the
@@ -100,6 +76,9 @@ class DecodeSession : public BackendSession
      * tests/test_chunked_prefill.cpp); only the prefill compute is
      * spread (and shrunk — earlier chunks attend to shorter contexts)
      * across iterations. prefilled() flips at the final chunk.
+     * Workloads with skip_summarization (the paper's GPT-2
+     * methodology: a pre-summarized sentence) charge no prefill time
+     * and enter decode with the full unpruned prompt KV.
      */
     double prefillChunk(std::size_t offset, std::size_t len) override;
 

@@ -71,15 +71,15 @@ SpAttenAccelerator::stepDecodeBatch(
     std::vector<double>& seconds_out) const
 {
     seconds_out.resize(lanes.size());
-    // Downcast once; a foreign session type in the batch (a scheduler
-    // bug, but cheap to tolerate) falls back to the serial default.
+    // Downcast once. A foreign session type in the batch is a caller
+    // bug (a wrapper that forgot to unwrap its lanes): falling back to
+    // the serial loop would silently measure a different program.
     std::vector<DecodeSession*> sess(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         sess[i] = dynamic_cast<DecodeSession*>(lanes[i]);
-        if (!sess[i]) {
-            AcceleratorBackend::stepDecodeBatch(lanes, seconds_out);
-            return;
-        }
+        SPATTEN_ASSERT(sess[i] != nullptr,
+                       "stepDecodeBatch lane %zu is not a DecodeSession",
+                       i);
     }
     // Open every lane's pass, then advance all lanes layer-major.
     // Lanes served whole from the replay memo return 0 owed layers and

@@ -77,8 +77,7 @@ class SpAttenAccelerator : public AcceleratorBackend
     BackendCapabilities capabilities() const override
     {
         return {/*cascade_pruning=*/true, /*progressive_quant=*/true,
-                /*dram_savings=*/true, /*chunked_prefill=*/true,
-                /*tiered_kv=*/true};
+                /*dram_savings=*/true};
     }
     /** KV byte budget = the HBM stack capacity of this configuration. */
     std::uint64_t capacityBytes() const override
@@ -99,7 +98,8 @@ class SpAttenAccelerator : public AcceleratorBackend
      * with per-request lanes. Lanes whose step the replay memo serves
      * whole complete at begin and sit out the layer loop. Sessions
      * share no state, so the result is bit-identical to the serial
-     * default (pinned by tests/test_batched_decode.cpp).
+     * default (pinned by the BatchedDecode test suite). Every lane
+     * must be a DecodeSession; any other session type panics.
      */
     void stepDecodeBatch(const std::vector<BackendSession*>& lanes,
                          std::vector<double>& seconds_out) const override;

@@ -28,28 +28,6 @@ class DenseKvSession : public BackendSession
         SPATTEN_ASSERT(workload_.summarize_len >= 1, "empty prompt");
     }
 
-    double prefill() override { return prefillWithCachedPrefix(0); }
-
-    /**
-     * Cached-prefix prefill: the serving layer already holds the first
-     * @p cached tokens' K/V, so only the suffix queries run. The
-     * one-shot baseline models price a full q x ctx pass; attention
-     * work is linear in the query rows at fixed context, so the
-     * executed share (time, fetched bytes, energy) scales by the
-     * suffix fraction while the *dense* FLOP reference keeps the full
-     * prompt — the skipped work shows up as a compute reduction, not a
-     * redefinition of the workload. Capped at summarize_len - 1: the
-     * last prompt token is always recomputed (vLLM semantics).
-     */
-    double prefillWithCachedPrefix(std::size_t cached) override
-    {
-        SPATTEN_ASSERT(!prefilled_, "prefill() called twice");
-        if (workload_.skip_summarization)
-            return prefillChunk(0, workload_.summarize_len);
-        cached = std::min(cached, workload_.summarize_len - 1);
-        return prefillChunk(cached, workload_.summarize_len - cached);
-    }
-
     /**
      * One chunk of a split prefill: prompt tokens [offset, offset+len)
      * attend to the causal context they close. The one-shot baseline
@@ -57,11 +35,10 @@ class DenseKvSession : public BackendSession
      * proportional to the query x context product, so the chunk's
      * executed share (time, fetched bytes, energy) scales by
      * len/prompt x (offset+len)/prompt — which for a chunk reaching
-     * the end of the prompt reduces to the suffix fraction
-     * prefillWithCachedPrefix has always charged (bit-identical in
-     * the one-chunk case). The *dense* FLOP reference keeps the full
-     * prompt: skipped/cheapened work is a compute reduction, not a
-     * redefinition of the workload.
+     * the end of the prompt reduces to the suffix fraction: a cached
+     * prefix's skipped queries cost nothing. The *dense* FLOP reference
+     * keeps the full prompt: skipped/cheapened work is a compute
+     * reduction, not a redefinition of the workload.
      */
     double prefillChunk(std::size_t offset, std::size_t len) override
     {

@@ -61,12 +61,8 @@ class A3Backend : public AcceleratorBackend
     BackendCapabilities capabilities() const override
     {
         // Local (post-fetch) key pruning only: no KV shrink, no DRAM
-        // savings, no quantization support. Its one-shot prefill model
-        // scales linearly with the query x context product, so split
-        // prefill chunks price cleanly. Dense KV has no layout pinned
-        // to HBM addresses, so tiered KV migration is safe.
-        return {false, false, false, /*chunked_prefill=*/true,
-                /*tiered_kv=*/true};
+        // savings, no quantization support.
+        return {false, false, false};
     }
     std::uint64_t capacityBytes() const override
     {
@@ -101,8 +97,7 @@ class MnnFastBackend : public AcceleratorBackend
     BackendCapabilities capabilities() const override
     {
         // Local value pruning after fetch: compute-only savings.
-        return {false, false, false, /*chunked_prefill=*/true,
-                /*tiered_kv=*/true};
+        return {false, false, false};
     }
     std::uint64_t capacityBytes() const override
     {
@@ -135,8 +130,7 @@ class PlatformBackend : public AcceleratorBackend
     BackendCapabilities capabilities() const override
     {
         // Dense fp32 PyTorch-style attention: no sparsity at all.
-        return {false, false, false, /*chunked_prefill=*/true,
-                /*tiered_kv=*/true};
+        return {false, false, false};
     }
     std::uint64_t capacityBytes() const override
     {

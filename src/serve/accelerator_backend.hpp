@@ -24,6 +24,7 @@
 #ifndef SPATTEN_SERVE_ACCELERATOR_BACKEND_HPP
 #define SPATTEN_SERVE_ACCELERATOR_BACKEND_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,19 +49,6 @@ struct BackendCapabilities
     bool progressive_quant = false;
     /// Any DRAM-traffic savings at all (pruning decided before fetch).
     bool dram_savings = false;
-    /// Sessions support prefillChunk(): the prompt pass can be split
-    /// into scheduler-visible chunks (Sarathi-style chunked prefill).
-    /// Backends without it always prefill monolithically, even when
-    /// the scheduler's chunking knobs are on.
-    bool chunked_prefill = false;
-    /// The device tolerates tiered KV memory (serve/kv_pool.hpp with a
-    /// far-memory DRAM cold tier): demoted prefix blocks leave HBM and
-    /// re-land bit-identically on promotion, so sessions can extend a
-    /// promoted prefix exactly as a never-migrated one. The mechanism
-    /// lives in KvPool + the scheduler (not the device model), so every
-    /// stock backend supports it; a backend that pinned KV layout to
-    /// physical HBM addresses would clear this bit.
-    bool tiered_kv = false;
 };
 
 /**
@@ -75,49 +63,45 @@ class BackendSession
   public:
     virtual ~BackendSession() = default;
 
-    /** Process the prompt; @return simulated seconds of the pass. */
-    virtual double prefill() = 0;
+    /** Process the whole prompt; @return simulated seconds of the pass.
+     *  Exactly prefillWithCachedPrefix(0). */
+    virtual double prefill() { return prefillWithCachedPrefix(0); }
 
     /**
      * Process the prompt when the serving layer's KvPool mapped the
      * first @p cached_prefix_tokens tokens' KV from its shared-prefix
      * cache: the device skips those tokens' prefill compute (their K/V
      * is already resident) and computes only the suffix queries against
-     * the full context. Must behave exactly like prefill() when
-     * @p cached_prefix_tokens is 0. The default ignores the hint — a
-     * backend without prefix-caching support still serves correctly,
-     * it just re-computes the shared tokens.
+     * the full context — the single chunk
+     * prefillChunk(cached, summarize_len - cached). The hint is capped
+     * at summarize_len - 1: like vLLM, the last prompt token is always
+     * recomputed so a fully cached prompt still produces its first
+     * logits. A pre-summarized prompt (skip_summarization) is one
+     * whole-prompt chunk whatever the hint.
      */
     virtual double prefillWithCachedPrefix(std::size_t cached_prefix_tokens)
     {
-        (void)cached_prefix_tokens;
-        return prefill();
+        SPATTEN_ASSERT(!prefilled(), "prefill() called twice");
+        const std::size_t prompt = workload().summarize_len;
+        if (workload().skip_summarization)
+            return prefillChunk(0, prompt);
+        const std::size_t cached =
+            std::min(cached_prefix_tokens, prompt - 1);
+        return prefillChunk(cached, prompt - cached);
     }
 
     /**
-     * Process prompt tokens [offset, offset + len) as one chunk of a
-     * split prefill (Sarathi-style chunked prefill). Chunks arrive
-     * contiguously in order; the session completes its prefill (and
-     * flips prefilled()) when the final chunk reaches the end of the
-     * prompt. A first chunk at offset > 0 means the serving layer's
-     * shared-prefix cache already holds the leading tokens' KV, so the
-     * chunk stream starts at the cached boundary — composing with
-     * prefillWithCachedPrefix(), which is exactly the one-chunk case.
-     * @return simulated seconds of the chunk's pass.
-     *
-     * The default supports only the degenerate single full chunk
-     * (delegating to prefillWithCachedPrefix) and asserts on a partial
-     * one; the scheduler only splits prefills on backends whose
-     * BackendCapabilities::chunked_prefill bit is set.
+     * Process prompt tokens [offset, offset + len) as one prompt pass —
+     * the one prompt entry the scheduler calls (Sarathi-style chunked
+     * prefill when a prompt is split). Chunks arrive contiguously in
+     * order; the session completes its prefill (and flips prefilled())
+     * when the final chunk reaches the end of the prompt. A first chunk
+     * at offset > 0 means the serving layer's shared-prefix cache
+     * already holds the leading tokens' KV, so the chunk stream starts
+     * at the cached boundary — prefillWithCachedPrefix() is exactly the
+     * one-chunk case. @return simulated seconds of the chunk's pass.
      */
-    virtual double prefillChunk(std::size_t offset, std::size_t len)
-    {
-        SPATTEN_ASSERT(offset + len == workload().summarize_len,
-                       "backend without chunked_prefill support was "
-                       "handed a partial prefill chunk [%zu, %zu)",
-                       offset, offset + len);
-        return prefillWithCachedPrefix(offset);
-    }
+    virtual double prefillChunk(std::size_t offset, std::size_t len) = 0;
 
     /** Generate one token; @return simulated seconds of the step. */
     virtual double decodeStep() = 0;
@@ -183,9 +167,10 @@ class AcceleratorBackend
      * and results are bit-identical whichever path runs. A backend may
      * override it to traverse its stage graph once per iteration with
      * per-request lanes (SpAttenAccelerator advances all lanes
-     * layer-major), amortizing per-step dispatch and buffers; the
-     * scheduler routes all-decode iterations through this hook in one
-     * call instead of one thread-pool job per resident.
+     * layer-major), amortizing per-step dispatch and buffers. This is
+     * the scheduler's only decode entry: every iteration advances all
+     * of its prefilled residents through one call, whether or not the
+     * iteration also runs prompt passes.
      */
     virtual void stepDecodeBatch(const std::vector<BackendSession*>& lanes,
                                  std::vector<double>& seconds_out) const

@@ -26,12 +26,10 @@ struct ActiveSession
     std::size_t idx = 0; ///< Position in the trace (report index).
     std::uint64_t admit_seq = 0; ///< Global admission order (preemption
                                  ///< tie-break: evict the latest).
-    std::size_t cached_prefix = 0; ///< Prompt tokens whose prefill the
-                                   ///< shared-prefix cache skips.
-    std::size_t prefill_pos = 0;   ///< Prompt tokens processed so far
-                                   ///< (starts at cached_prefix; the
-                                   ///< chunk stream begins at the
-                                   ///< cached-prefix boundary).
+    std::size_t prefill_pos = 0; ///< Prompt tokens processed so far
+                                 ///< (starts at the cached-prefix
+                                 ///< boundary: the shared-prefix cache
+                                 ///< skips those tokens' prefill).
     double promote_s = 0; ///< Pending DRAM -> HBM promotion latency:
                           ///< charged to this request's first prompt
                           ///< pass (the promoted prefix must land in
@@ -51,25 +49,19 @@ struct AccelState
                                     ///< time (for the mean occupancy).
 };
 
-/** One session step to simulate this iteration. */
+/** One prompt pass to simulate this iteration:
+ *  session->prefillChunk(offset, len). */
 struct StepJob
 {
     BackendSession* session = nullptr;
-    std::size_t member = 0; ///< Index into AccelState::active. Not every
-                            ///< member gets a job every iteration once
-                            ///< chunked prefill defers prompt work, so
-                            ///< jobs are no longer parallel to active[].
-    bool do_prefill = false;
-    bool chunked = false; ///< prefillChunk(offset, len) instead of the
-                          ///< monolithic prefillWithCachedPrefix path.
-    std::size_t offset = 0; ///< Chunk-only: first prompt token.
-    std::size_t len = 0;    ///< Chunk-only: chunk length.
-    std::size_t cached_prefix = 0; ///< Monolithic-prefill-only.
-    double seconds = 0; ///< Output: simulated step cost.
+    std::size_t member = 0; ///< Index into AccelState::active.
+    std::size_t offset = 0; ///< First prompt token of the pass.
+    std::size_t len = 0;    ///< Prompt tokens in the pass.
+    double seconds = 0;     ///< Output: simulated pass cost.
 };
 
 /**
- * Persistent helper-thread pool for the per-iteration session steps.
+ * Persistent helper-thread pool for the per-iteration prompt passes.
  *
  * A scheduler run has one iteration per prefill/decode round — hundreds
  * for a modest trace — and each step simulates only microseconds of
@@ -138,13 +130,7 @@ class StepPool
   private:
     static void step(StepJob& job)
     {
-        if (!job.do_prefill)
-            job.seconds = job.session->decodeStep();
-        else if (job.chunked)
-            job.seconds = job.session->prefillChunk(job.offset, job.len);
-        else
-            job.seconds =
-                job.session->prefillWithCachedPrefix(job.cached_prefix);
+        job.seconds = job.session->prefillChunk(job.offset, job.len);
     }
 
     void drain(std::vector<StepJob>& jobs)
@@ -325,18 +311,11 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
     std::stable_sort(order.begin(), order.end(), queuedBefore);
 
     std::vector<AccelState> accels(num_accels);
-    for (std::size_t a = 0; a < num_accels; ++a) {
-        // A backend whose KV layout cannot migrate (capabilities().
-        // tiered_kv false) keeps a single-tier pool even when the
-        // fleet config asks for a far-memory tier.
-        const std::uint64_t dram_bytes =
-            fleet_[a]->capabilities().tiered_kv
-                ? sched_.far_memory.capacityBytes()
-                : 0;
+    for (std::size_t a = 0; a < num_accels; ++a)
         accels[a].pool = KvPool({slotBudget(a), sched_.kv_block_tokens,
                                  fleet_[a]->kvBytesPerElem(),
-                                 /*prefix_hash_bits=*/64, dram_bytes});
-    }
+                                 /*prefix_hash_bits=*/64,
+                                 sched_.far_memory.capacityBytes()});
 
     // ---- Routing classes ----
     // CapabilityAware keeps two shared queues: long prompts wait in a
@@ -345,18 +324,11 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
     // fleet every request is short-class (plain LeastLoaded).
     const bool cap_aware = sched_.shard == ShardPolicy::CapabilityAware;
     std::vector<char> slot_prunes(num_accels, 0);
-    std::vector<char> slot_chunks(num_accels, 0);
     bool fleet_has_pruner = false;
     for (std::size_t a = 0; a < num_accels; ++a) {
         slot_prunes[a] = fleet_[a]->capabilities().cascade_pruning;
-        slot_chunks[a] = fleet_[a]->capabilities().chunked_prefill;
         fleet_has_pruner |= slot_prunes[a] != 0;
     }
-    // Chunked prefill is engaged by either knob; with both at their
-    // 0 defaults the iteration loop is the legacy monolithic-prefill
-    // scheduler, bit for bit.
-    const bool chunking_on = sched_.prefill_chunk_tokens > 0 ||
-                             sched_.iteration_token_budget > 0;
     const auto isLongClass = [&](std::size_t idx) {
         return cap_aware && fleet_has_pruner &&
                trace[idx].workload.summarize_len >=
@@ -596,9 +568,10 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
         return true;
     };
 
-    std::vector<StepJob> jobs;
-    std::vector<BackendSession*> batch_lanes;
-    std::vector<double> batch_seconds;
+    std::vector<BackendSession*> lanes;   ///< This iteration's decodes.
+    std::vector<std::size_t> lane_members; ///< Their active[] indices.
+    std::vector<double> lane_seconds;
+    std::vector<StepJob> jobs; ///< This iteration's prompt passes.
     StepPool pool(sched_.num_threads);
     while (finished < n) {
         // ---- Pick the accelerator with the earliest next event ----
@@ -753,8 +726,8 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
                 r.cached_prefix_tokens = cached_prefix;
                 r.phase = RequestPhase::Prefill;
                 accel.active.push_back(
-                    {idx, admit_seq++, cached_prefix,
-                     /*prefill_pos=*/cached_prefix, promote_s,
+                    {idx, admit_seq++, /*prefill_pos=*/cached_prefix,
+                     promote_s,
                      fleet_[best]->makeSession(trace[idx].workload,
                                                trace[idx].policy,
                                                trace[idx].seed)});
@@ -764,98 +737,99 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
                        "selected an accelerator with no admissible work");
         const std::uint64_t kv_used = accel.pool.usedBytes();
 
-        // ---- One iteration: decode steps for every prefilled
-        // resident, plus prompt work for the un-prefilled ones under
-        // the chunking knobs — in parallel on the host, applied in
-        // admission order. Prefilled residents form a prefix of
-        // active[] (admission appends, and prompt passes are granted
-        // in admission order), so "decodes first, then prompt work"
-        // IS admission order — with chunking off the job list is
-        // exactly the legacy one-job-per-member iteration. ----
-        jobs.clear();
-        jobs.reserve(accel.active.size());
-        std::size_t decode_count = 0;
+        // ---- One iteration: one batched decode step for every
+        // prefilled resident, then the granted prompt passes (in
+        // parallel on the host), applied in admission order.
+        // Prefilled residents form a prefix of active[] (admission
+        // appends, and prompt passes are granted in admission order),
+        // so "decode lanes first, then prompt passes" IS admission
+        // order. ----
+        lanes.clear();
+        lane_members.clear();
         for (std::size_t i = 0; i < accel.active.size(); ++i) {
-            ActiveSession& m = accel.active[i];
-            if (!m.session->prefilled())
-                continue;
-            jobs.push_back({m.session.get(), i, /*do_prefill=*/false,
-                            false, 0, 0, 0, 0.0});
-            ++decode_count;
+            if (accel.active[i].session->prefilled()) {
+                lanes.push_back(accel.active[i].session.get());
+                lane_members.push_back(i);
+            }
         }
-        // Prompt-work grants, in admission order. Each resident decode
-        // step above costs one budget token; whole prompts that fit
-        // the remainder run as ordinary monolithic prefills, and at
-        // most one *partial* chunk is issued per iteration — the
-        // Sarathi-style mixed iteration. Budget exhaustion defers the
-        // remaining un-prefilled members (their full-prompt KV
-        // reservations stay put); decode steps are never deferred, so
-        // the batch always advances and prefill work drains as
-        // residents finish.
+        // Prompt-pass grants, in admission order. Each resident decode
+        // step above costs one budget token (no budget: unlimited);
+        // prompt passes draw the remainder, capped per pass at
+        // prefill_chunk_tokens, and at most one *partial* pass is
+        // issued per iteration — the Sarathi-style mixed iteration.
+        // Budget exhaustion defers the remaining un-prefilled members
+        // (their full-prompt KV reservations stay put); decode steps
+        // are never deferred, so the batch always advances and prefill
+        // work drains as residents finish.
         std::size_t budget_left =
             sched_.iteration_token_budget > 0
-                ? (sched_.iteration_token_budget > decode_count
-                       ? sched_.iteration_token_budget - decode_count
+                ? (sched_.iteration_token_budget > lanes.size()
+                       ? sched_.iteration_token_budget - lanes.size()
                        : 0)
                 : std::numeric_limits<std::size_t>::max();
+        jobs.clear();
         for (std::size_t i = 0; i < accel.active.size(); ++i) {
             ActiveSession& m = accel.active[i];
             if (m.session->prefilled())
                 continue;
             const WorkloadSpec& w = trace[m.idx].workload;
+            const std::size_t remaining = w.summarize_len - m.prefill_pos;
             if (w.skip_summarization) {
                 // Pre-summarized prompt: the pass is free, so it
-                // neither draws budget nor counts as the chunk.
-                jobs.push_back({m.session.get(), i, /*do_prefill=*/true,
-                                false, 0, 0, m.cached_prefix, 0.0});
+                // neither draws budget nor counts as the partial pass.
+                jobs.push_back({m.session.get(), i, m.prefill_pos,
+                                remaining, 0.0});
                 continue;
             }
-            const std::size_t remaining = w.summarize_len - m.prefill_pos;
             if (budget_left == 0)
                 break;
             std::size_t len = remaining;
-            if (chunking_on && slot_chunks[best] &&
-                sched_.prefill_chunk_tokens > 0)
+            if (sched_.prefill_chunk_tokens > 0)
                 len = std::min(len, sched_.prefill_chunk_tokens);
-            if (chunking_on && slot_chunks[best])
-                len = std::min(len, budget_left);
-            if (len == remaining && m.prefill_pos == m.cached_prefix) {
-                // First and only pass: the legacy monolithic path —
-                // also what chunk sizes >= the prompt reduce to, and
-                // the only shape a non-chunking backend supports.
-                jobs.push_back({m.session.get(), i, /*do_prefill=*/true,
-                                false, 0, 0, m.cached_prefix, 0.0});
-            } else {
-                jobs.push_back({m.session.get(), i, /*do_prefill=*/true,
-                                /*chunked=*/true, m.prefill_pos, len, 0,
-                                0.0});
-            }
-            budget_left -= std::min(len, budget_left);
+            len = std::min(len, budget_left);
+            jobs.push_back({m.session.get(), i, m.prefill_pos, len, 0.0});
+            budget_left -= len;
             if (len < remaining)
-                break; // At most one partial chunk per iteration.
+                break; // At most one partial pass per iteration.
         }
-        SPATTEN_ASSERT(!jobs.empty(),
+        SPATTEN_ASSERT(!lanes.empty() || !jobs.empty(),
                        "iteration with no work on accelerator %zu", best);
-        if (sched_.batched_decode && decode_count == jobs.size()) {
-            // All-decode iteration: one batched backend call replaces
-            // per-job pool dispatch. Lane order is job order, so the
-            // results land in the same slots the pool would fill.
-            batch_lanes.clear();
-            batch_lanes.reserve(jobs.size());
-            for (const StepJob& job : jobs)
-                batch_lanes.push_back(job.session);
-            fleet_[best]->stepDecodeBatch(batch_lanes, batch_seconds);
-            for (std::size_t j = 0; j < jobs.size(); ++j)
-                jobs[j].seconds = batch_seconds[j];
-        } else {
-            pool.run(jobs);
-        }
+        if (!lanes.empty())
+            fleet_[best]->stepDecodeBatch(lanes, lane_seconds);
+        pool.run(jobs);
 
         double t = accel.clock_s;
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            ActiveSession& m = accel.active[jobs[j].member];
+        // A request whose last pass just ran leaves the batch at t.
+        const auto finishIfDone = [&](ActiveSession& m, ServedRequest& r) {
+            if (!m.session->done())
+                return;
+            // A 0-token request's "first token" is its prefill
+            // completion (the classification-style response).
+            if (r.first_token_s < 0)
+                r.first_token_s = t;
+            r.finish_s = t;
+            r.phase = RequestPhase::Finished;
+            r.kv_trace = m.session->kvTrace();
+            r.sim = m.session->finalize();
+            accel.pool.release(m.idx);
+            residency.emplace_back(r.admit_s, r.finish_s);
+            ++finished;
+        };
+        for (std::size_t j = 0; j < lanes.size(); ++j) {
+            ActiveSession& m = accel.active[lane_members[j]];
             ServedRequest& r = rep.requests[m.idx];
-            if (jobs[j].do_prefill && m.promote_s > 0) {
+            t += lane_seconds[j];
+            r.service_seconds += lane_seconds[j];
+            r.token_times_s.push_back(t);
+            ++r.tokens;
+            if (r.first_token_s < 0)
+                r.first_token_s = t;
+            finishIfDone(m, r);
+        }
+        for (const StepJob& job : jobs) {
+            ActiveSession& m = accel.active[job.member];
+            ServedRequest& r = rep.requests[m.idx];
+            if (m.promote_s > 0) {
                 // The admission's DRAM -> HBM promotion burst completes
                 // before the first prompt pass can extend the promoted
                 // prefix, so its latency serializes into the iteration
@@ -868,37 +842,16 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
                 rep.promotion_stall_s += m.promote_s;
                 m.promote_s = 0;
             }
-            t += jobs[j].seconds;
-            r.service_seconds += jobs[j].seconds;
-            if (jobs[j].do_prefill) {
-                m.prefill_pos = jobs[j].chunked
-                                    ? jobs[j].offset + jobs[j].len
-                                    : trace[m.idx].workload.summarize_len;
-                ++r.prefill_chunks;
-                // TTFT semantics under chunking: the request stays in
-                // Prefill until its final chunk lands; its first token
-                // is the first decode completion after that.
-                if (m.session->prefilled())
-                    r.phase = RequestPhase::Decoding;
-            } else {
-                r.token_times_s.push_back(t);
-                ++r.tokens;
-                if (r.first_token_s < 0)
-                    r.first_token_s = t;
-            }
-            if (m.session->done()) {
-                // A 0-token request's "first token" is its prefill
-                // completion (the classification-style response).
-                if (r.first_token_s < 0)
-                    r.first_token_s = t;
-                r.finish_s = t;
-                r.phase = RequestPhase::Finished;
-                r.kv_trace = m.session->kvTrace();
-                r.sim = m.session->finalize();
-                accel.pool.release(m.idx);
-                residency.emplace_back(r.admit_s, r.finish_s);
-                ++finished;
-            }
+            t += job.seconds;
+            r.service_seconds += job.seconds;
+            m.prefill_pos = job.offset + job.len;
+            ++r.prefill_chunks;
+            // TTFT semantics under chunking: the request stays in
+            // Prefill until its final pass lands; its first token is
+            // the first decode completion after that.
+            if (m.session->prefilled())
+                r.phase = RequestPhase::Decoding;
+            finishIfDone(m, r);
         }
         // Per-member charging audit (mixed prefill/decode iterations):
         // iter_s is the serialized sum of the steps that actually ran —

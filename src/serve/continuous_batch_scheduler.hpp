@@ -7,17 +7,18 @@
  * and serves it the way a production LLM endpoint does: requests arrive
  * over simulated time, are sharded onto a pool of simulated accelerators
  * (round-robin, least-loaded, or capability-aware), and each accelerator
- * runs iterations that interleave prefill passes of newly admitted
- * requests with one decode step of every in-flight request — tokens
- * leave the batch one iteration at a time, and finished requests free
- * their slot for queued arrivals (continuous batching, not one-shot
- * batches). The chunking knobs (prefill_chunk_tokens,
- * iteration_token_budget) split long prompt passes into
- * scheduler-visible chunks mixed with the resident decode steps
- * (Sarathi-style stall-free batching), so one huge admission no longer
- * stalls every resident's next token for a whole monolithic prefill;
- * with both at their 0 defaults the iteration loop is bit-identical to
- * the monolithic-prefill scheduler.
+ * runs iterations — tokens leave the batch one iteration at a time, and
+ * finished requests free their slot for queued arrivals (continuous
+ * batching, not one-shot batches). Every iteration does exactly two
+ * things: one AcceleratorBackend::stepDecodeBatch call that advances
+ * every prefilled resident by one token, then one
+ * BackendSession::prefillChunk(offset, len) per granted prompt pass.
+ * The chunking knobs (prefill_chunk_tokens, iteration_token_budget)
+ * split long prompts into several such passes mixed with the resident
+ * decode steps (Sarathi-style stall-free batching), so one huge
+ * admission no longer stalls every resident's next token for a whole
+ * prompt; with both at their 0 defaults each prompt runs as one pass in
+ * its admission iteration.
  *
  * The pool is *heterogeneous*: each slot is an AcceleratorBackend
  * (serve/accelerator_backend.hpp) — a SpAttenAccelerator whose sessions
@@ -41,9 +42,10 @@
  *
  * Determinism contract (pinned by tests/test_continuous_scheduler.cpp):
  * the report is a pure function of (config, trace). Host worker threads
- * only parallelize the independent per-session step simulations inside
- * one iteration; the single-threaded coordinator makes every admission
- * and preemption decision and applies step results in admission order,
+ * only parallelize the independent prompt passes inside one iteration;
+ * the single-threaded coordinator runs the batched decode call, makes
+ * every admission and preemption decision, and applies step results in
+ * admission order (decode lanes, then prompt passes in grant order),
  * so every timestamp, metric, and per-request result is bit-identical
  * at any num_threads — including under preemption. Per-request
  * *service* results (step costs, KV trajectory, cycles, energy) depend
@@ -111,8 +113,9 @@ struct ContinuousBatchConfig
     std::size_t max_active = 8;
     ShardPolicy shard = ShardPolicy::LeastLoaded;
     QueuePolicy queue = QueuePolicy::Fifo;
-    /// Host threads for the per-iteration session steps; 0 = one per
-    /// hardware thread. Never affects simulated results.
+    /// Host threads for the per-iteration prompt passes (decode steps
+    /// always run in the coordinator's one batched backend call);
+    /// 0 = one per hardware thread. Never affects simulated results.
     std::size_t num_threads = 0;
     /// SLO for goodput accounting: a finished request counts as good
     /// when its TTFT <= slo_ttft_s and its *per-request mean* ITL
@@ -127,8 +130,8 @@ struct ContinuousBatchConfig
     /// Shared-prefix KV caching (serve/kv_pool.hpp): admissions whose
     /// prompt_tokens share a cached block prefix map those blocks
     /// copy-free, are charged only for their non-shared tail, and skip
-    /// the shared tokens' prefill compute
-    /// (BackendSession::prefillWithCachedPrefix). Off by default:
+    /// the shared tokens' prefill compute (the prompt's first
+    /// prefillChunk starts at the cached boundary). Off by default:
     /// legacy configs and traces without prompt content stay
     /// bit-identical to the pre-caching scheduler.
     bool enable_prefix_caching = false;
@@ -165,10 +168,8 @@ struct ContinuousBatchConfig
     // ---- Chunked prefill (Sarathi-style stall-free batching) ----
     /// Max prompt tokens one prefill chunk processes per iteration.
     /// 0 = no per-chunk cap. With both chunking knobs 0 prefill is
-    /// monolithic — one whole-prompt pass in the admission iteration,
-    /// bit-identical to the pre-chunking scheduler (and chunk sizes
-    /// >= every prompt are bit-identical too: a chunk covering the
-    /// whole remaining prompt takes the legacy prefill path exactly).
+    /// monolithic — one whole-prompt pass in the admission iteration
+    /// (and chunk sizes >= every prompt are identical to that).
     /// Splitting caps how long one admission can stall every resident
     /// decoder's next token, trading a later TTFT for the prefilling
     /// request against a tighter ITL tail for everyone else.
@@ -178,11 +179,9 @@ struct ContinuousBatchConfig
     /// at the remainder (decode steps are never skipped — residents
     /// always advance, which is what keeps the ITL tail flat). Prompt
     /// passes are granted to un-prefilled residents in admission order:
-    /// whole prompts that fit the remaining budget run as ordinary
-    /// prefills, and at most one *partial* chunk is issued per
-    /// iteration. 0 = unlimited. Backends without the chunked_prefill
-    /// capability always prefill whole prompts; the budget only defers
-    /// when they start.
+    /// whole prompts that fit the remaining budget run as one pass, and
+    /// at most one *partial* chunk is issued per iteration.
+    /// 0 = unlimited.
     std::size_t iteration_token_budget = 0;
 
     /// Admission skip-ahead bound for the non-FIFO queue policies: when
@@ -195,19 +194,6 @@ struct ContinuousBatchConfig
     /// strict arrival-order admission is its contract (pinned by
     /// tests/test_chunked_prefill.cpp).
     std::size_t admission_skip_ahead = 0;
-
-    /// Route iterations whose work list is decode-only through the
-    /// backend's batched entry point
-    /// (AcceleratorBackend::stepDecodeBatch) in ONE call instead of
-    /// one thread-pool job per resident: SpAtten advances every lane
-    /// layer-major through one stage-graph traversal, and memoized
-    /// steady-state steps make the per-job rendezvous the dominant
-    /// cost this removes. Sessions share no state, so results are
-    /// bit-identical either way (pinned by
-    /// tests/test_batched_decode.cpp); disable only for A/B
-    /// measurement. Mixed prefill+decode iterations always use the
-    /// per-job pool.
-    bool batched_decode = true;
 };
 
 /** Aggregated outcome of serving one trace. */

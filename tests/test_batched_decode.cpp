@@ -2,11 +2,15 @@
 /// advances every lane layer-major through one stage-graph traversal;
 /// sessions share no state, so every observable must be bit-identical
 /// to the serial decodeStep() loop — directly at the backend level, and
-/// end-to-end through the scheduler (batched_decode on vs off) across
-/// thread counts, shard counts, chunked prefill, and prefix caching.
+/// end-to-end through the scheduler against a serial oracle backend
+/// across thread counts, shard counts, chunked prefill, and prefix
+/// caching. The scheduler's only decode entry is stepDecodeBatch: every
+/// generated token goes through it, mixed prefill+decode iterations
+/// included.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/decode_session.hpp"
@@ -129,8 +133,149 @@ TEST(BatchedDecode, MixedMemoAndLiveLanes)
     EXPECT_EQ(rook_b->kvTrace(), rook_s->kvTrace());
 }
 
+/// Serving-contract wrapper that counts what the scheduler calls. The
+/// backend counts stepDecodeBatch lanes; its sessions count serial
+/// decodeStep() calls and spot batched calls that shared an iteration
+/// with a prompt pass.
+struct CallCounts
+{
+    std::size_t batch_calls = 0;
+    std::size_t batch_lanes = 0;
+    std::size_t serial_decodes = 0;
+    /// Batched calls followed, before the next batched call, by a
+    /// prompt pass while one of their lanes still had tokens to go.
+    /// Such a lane would open the next iteration's batched call, so
+    /// the prompt pass ran in the same iteration as the batch (sound on
+    /// one slot without preemption).
+    std::size_t mixed_batch_calls = 0;
+    bool lanes_pending = false;
+};
+
+class CountingSession final : public BackendSession
+{
+  public:
+    CountingSession(std::unique_ptr<BackendSession> inner, CallCounts& counts)
+        : inner_(std::move(inner)), counts_(counts)
+    {
+    }
+
+    double prefillChunk(std::size_t offset, std::size_t len) override
+    {
+        if (counts_.lanes_pending) {
+            ++counts_.mixed_batch_calls;
+            counts_.lanes_pending = false;
+        }
+        return inner_->prefillChunk(offset, len);
+    }
+    double decodeStep() override
+    {
+        ++counts_.serial_decodes;
+        return inner_->decodeStep();
+    }
+    bool prefilled() const override { return inner_->prefilled(); }
+    bool done() const override { return inner_->done(); }
+    std::size_t kvLength() const override { return inner_->kvLength(); }
+    const std::vector<std::size_t>& kvTrace() const override
+    {
+        return inner_->kvTrace();
+    }
+    const WorkloadSpec& workload() const override
+    {
+        return inner_->workload();
+    }
+    RunResult finalize() const override { return inner_->finalize(); }
+
+    BackendSession* inner() { return inner_.get(); }
+
+  private:
+    std::unique_ptr<BackendSession> inner_;
+    CallCounts& counts_;
+};
+
+/// SpAtten behind the serving contract. Counting on, it wraps its
+/// sessions and counts every call; counting off, it hands out bare
+/// DecodeSessions and does not override stepDecodeBatch's loop either,
+/// so the base class's serial decodeStep() loop serves every decode
+/// lane: the oracle the batched path must reproduce bit for bit.
+class SerialSpAtten : public AcceleratorBackend
+{
+  public:
+    std::string backendName() const override { return inner_.backendName(); }
+    BackendCapabilities capabilities() const override
+    {
+        return inner_.capabilities();
+    }
+    std::uint64_t capacityBytes() const override
+    {
+        return inner_.capacityBytes();
+    }
+    std::size_t kvBytesPerElem() const override
+    {
+        return inner_.kvBytesPerElem();
+    }
+    std::unique_ptr<BackendSession>
+    makeSession(const WorkloadSpec& workload, const PruningPolicy& policy,
+                std::uint64_t request_seed) const override
+    {
+        return inner_.makeSession(workload, policy, request_seed);
+    }
+
+  protected:
+    SpAttenAccelerator inner_;
+};
+
+class CountingSpAtten final : public SerialSpAtten
+{
+  public:
+    std::unique_ptr<BackendSession>
+    makeSession(const WorkloadSpec& workload, const PruningPolicy& policy,
+                std::uint64_t request_seed) const override
+    {
+        return std::make_unique<CountingSession>(
+            inner_.makeSession(workload, policy, request_seed), counts_);
+    }
+
+    void stepDecodeBatch(const std::vector<BackendSession*>& lanes,
+                         std::vector<double>& seconds_out) const override
+    {
+        std::vector<BackendSession*> inner_lanes;
+        for (BackendSession* lane : lanes)
+            inner_lanes.push_back(
+                dynamic_cast<CountingSession&>(*lane).inner());
+        inner_.stepDecodeBatch(inner_lanes, seconds_out);
+        ++counts_.batch_calls;
+        counts_.batch_lanes += lanes.size();
+        counts_.lanes_pending = false;
+        for (const BackendSession* lane : lanes)
+            counts_.lanes_pending |= !lane->done();
+    }
+
+    const CallCounts& counts() const { return counts_; }
+
+  private:
+    mutable CallCounts counts_;
+};
+
+TEST(BatchedDecodeDeathTest, ForeignLanePanicsNamingItsIndex)
+{
+    // A wrapper that forgets to unwrap its lanes must fail loudly, not
+    // fall back to a serial loop that measures a different program.
+    const SpAttenAccelerator accel;
+    CallCounts counts;
+    const WorkloadSpec w = laneWorkload(64, 4, "lane");
+    auto bare = accel.makeSession(w, PruningPolicy{}, 1);
+    CountingSession wrapped(accel.makeSession(w, PruningPolicy{}, 2),
+                            counts);
+    bare->prefill();
+    wrapped.prefill();
+    const std::vector<BackendSession*> lanes = {bare.get(), &wrapped};
+    std::vector<double> secs;
+    EXPECT_DEATH(accel.stepDecodeBatch(lanes, secs),
+                 "lane 1 is not a DecodeSession");
+}
+
 // ---------------------------------------------------------------------
-// Scheduler level: batched_decode on == off, whole-report
+// Scheduler level: the batched entry == the serial oracle, whole-report
 // ---------------------------------------------------------------------
 
 std::vector<TracedRequest>
@@ -146,6 +291,21 @@ denseTrace(std::size_t n)
     tc.min_output = 4;
     tc.max_output = 16;
     return generatePoissonTrace(tc);
+}
+
+std::vector<TracedRequest>
+sharedPrefixTrace()
+{
+    SharedPrefixTraceConfig pc;
+    pc.base = ArrivalTraceConfig{};
+    pc.base.num_requests = 14;
+    pc.base.mean_interarrival_s = 0.1e-3;
+    pc.base.model = tinyModel();
+    pc.base.min_output = 2;
+    pc.base.max_output = 8;
+    pc.system_prompt_tokens = 64;
+    pc.max_prompt_tokens = 320;
+    return generateSharedPrefixTrace(pc);
 }
 
 void
@@ -177,65 +337,95 @@ serve(const std::vector<TracedRequest>& trace, ContinuousBatchConfig sc)
     return ContinuousBatchScheduler(SpAttenConfig{}, sc).run(trace);
 }
 
+/// The oracle run: every slot decodes through the serial default loop,
+/// one thread.
+ServeReport
+serveSerial(const std::vector<TracedRequest>& trace,
+            ContinuousBatchConfig sc)
+{
+    sc.num_threads = 1;
+    return ContinuousBatchScheduler(
+               AcceleratorFleet(sc.num_accelerators,
+                                std::make_shared<const SerialSpAtten>()),
+               sc)
+        .run(trace);
+}
+
 TEST(BatchedDecode, SchedulerBatchedMatchesPerJobAcrossThreadsAndShards)
 {
     const auto trace = denseTrace(20);
     for (const std::size_t accels : {std::size_t{1}, std::size_t{2}}) {
-        ContinuousBatchConfig off;
-        off.num_accelerators = accels;
-        off.max_active = 6;
-        off.num_threads = 1;
-        off.batched_decode = false;
-        const ServeReport baseline = serve(trace, off);
+        ContinuousBatchConfig sc;
+        sc.num_accelerators = accels;
+        sc.max_active = 6;
+        const ServeReport baseline = serveSerial(trace, sc);
 
         for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-            ContinuousBatchConfig on = off;
-            on.batched_decode = true;
-            on.num_threads = threads;
-            expectSameReport(baseline, serve(trace, on));
+            sc.num_threads = threads;
+            expectSameReport(baseline, serve(trace, sc));
         }
     }
 }
 
 TEST(BatchedDecode, SchedulerBatchedMatchesWithChunkedPrefill)
 {
-    // Chunked prefill forces mixed prefill+decode iterations (which
-    // must fall back to the per-job pool) interleaved with all-decode
-    // iterations (which batch); both kinds must agree with batching
-    // disabled.
+    // Chunked prefill makes many iterations mixed: their decode lanes
+    // batch while the prompt chunks run on the pool, and every kind of
+    // iteration must agree with the serial oracle.
     const auto trace = denseTrace(16);
-    ContinuousBatchConfig off;
-    off.max_active = 6;
-    off.num_threads = 1;
-    off.prefill_chunk_tokens = 32;
-    off.iteration_token_budget = 48;
-    off.batched_decode = false;
-    ContinuousBatchConfig on = off;
-    on.batched_decode = true;
-    expectSameReport(serve(trace, off), serve(trace, on));
+    ContinuousBatchConfig sc;
+    sc.max_active = 6;
+    sc.num_threads = 1;
+    sc.prefill_chunk_tokens = 32;
+    sc.iteration_token_budget = 48;
+    expectSameReport(serveSerial(trace, sc), serve(trace, sc));
 }
 
 TEST(BatchedDecode, SchedulerBatchedMatchesWithPrefixCaching)
 {
-    SharedPrefixTraceConfig pc;
-    pc.base = ArrivalTraceConfig{};
-    pc.base.num_requests = 14;
-    pc.base.mean_interarrival_s = 0.1e-3;
-    pc.base.model = tinyModel();
-    pc.base.min_output = 2;
-    pc.base.max_output = 8;
-    pc.system_prompt_tokens = 64;
-    pc.max_prompt_tokens = 320;
-    const auto trace = generateSharedPrefixTrace(pc);
+    const auto trace = sharedPrefixTrace();
+    ContinuousBatchConfig sc;
+    sc.max_active = 6;
+    sc.num_threads = 1;
+    sc.enable_prefix_caching = true;
+    expectSameReport(serveSerial(trace, sc), serve(trace, sc));
+}
 
-    ContinuousBatchConfig off;
-    off.max_active = 6;
-    off.num_threads = 1;
-    off.enable_prefix_caching = true;
-    off.batched_decode = false;
-    ContinuousBatchConfig on = off;
-    on.batched_decode = true;
-    expectSameReport(serve(trace, off), serve(trace, on));
+/// Serve @p trace on one counting SpAtten slot and check that every
+/// decode token went through stepDecodeBatch, mixed iterations too.
+void
+expectEveryTokenBatched(const std::vector<TracedRequest>& trace,
+                        const ContinuousBatchConfig& sc)
+{
+    const auto counting = std::make_shared<const CountingSpAtten>();
+    const ServeReport rep =
+        ContinuousBatchScheduler(AcceleratorFleet{counting}, sc).run(trace);
+    // The mixed-iteration witness is only sound without preemption.
+    ASSERT_EQ(rep.preemptions, 0u);
+    const CallCounts& c = counting->counts();
+    EXPECT_EQ(c.serial_decodes, 0u);
+    EXPECT_EQ(c.batch_lanes, rep.total_tokens + rep.recompute_tokens);
+    EXPECT_GE(c.mixed_batch_calls, 1u);
+    expectSameReport(serve(trace, sc), rep);
+}
+
+TEST(BatchedDecode, EveryDecodeTokenTakesTheBatchEntryWithChunkedPrefill)
+{
+    ContinuousBatchConfig sc;
+    sc.max_active = 6;
+    sc.num_threads = 1;
+    sc.prefill_chunk_tokens = 32;
+    sc.iteration_token_budget = 48;
+    expectEveryTokenBatched(denseTrace(16), sc);
+}
+
+TEST(BatchedDecode, EveryDecodeTokenTakesTheBatchEntryWithPrefixCaching)
+{
+    ContinuousBatchConfig sc;
+    sc.max_active = 6;
+    sc.num_threads = 1;
+    sc.enable_prefix_caching = true;
+    expectEveryTokenBatched(sharedPrefixTrace(), sc);
 }
 
 } // namespace
