@@ -17,6 +17,17 @@
 #include "serve/continuous_batch_scheduler.hpp"
 
 namespace spatten {
+
+/// Prints a backend parameter by name. gtest's default printer for a
+/// shared_ptr shows its heap address, which ends up in the ctest names
+/// of the parameterized tests and changes with every build and run.
+void
+PrintTo(const std::shared_ptr<const AcceleratorBackend>& backend,
+        std::ostream* os)
+{
+    *os << backend->backendName();
+}
+
 namespace {
 
 /// A small 4-layer model keeps each run to milliseconds of host time.
