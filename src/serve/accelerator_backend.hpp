@@ -16,10 +16,11 @@
  * oblivious to which device type sits behind each slot.
  *
  * Sessions must be pure functions of (backend config, workload, policy,
- * seed): bit-identical regardless of which scheduler thread or fleet
- * slot drives them. That is what keeps the scheduler's determinism
- * contract (thread-count bit-identity, placement-independent service
- * results) intact across heterogeneous fleets.
+ * seed): bit-identical regardless of which fleet slot drives them or
+ * how their calls interleave with other sessions'. That is what keeps
+ * the scheduler's determinism contract (run-to-run bit-identity,
+ * placement-independent service results) intact across heterogeneous
+ * fleets.
  */
 #ifndef SPATTEN_SERVE_ACCELERATOR_BACKEND_HPP
 #define SPATTEN_SERVE_ACCELERATOR_BACKEND_HPP

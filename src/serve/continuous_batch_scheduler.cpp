@@ -1,15 +1,11 @@
 #include "serve/continuous_batch_scheduler.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <deque>
-#include <mutex>
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <thread>
 
 #include "accel/spatten_accelerator.hpp"
 #include "common/logging.hpp"
@@ -49,134 +45,6 @@ struct AccelState
                                     ///< time (for the mean occupancy).
 };
 
-/** One prompt pass to simulate this iteration:
- *  session->prefillChunk(offset, len). */
-struct StepJob
-{
-    BackendSession* session = nullptr;
-    std::size_t member = 0; ///< Index into AccelState::active.
-    std::size_t offset = 0; ///< First prompt token of the pass.
-    std::size_t len = 0;    ///< Prompt tokens in the pass.
-    double seconds = 0;     ///< Output: simulated pass cost.
-};
-
-/**
- * Persistent helper-thread pool for the per-iteration prompt passes.
- *
- * A scheduler run has one iteration per prefill/decode round — hundreds
- * for a modest trace — and each step simulates only microseconds of
- * work, so spawning threads per iteration would cost more than it
- * saves. The pool keeps num_threads-1 helpers parked on a condition
- * variable; run() publishes a job batch (a "generation"), drains it
- * together with the helpers through an atomic cursor, and returns only
- * after every helper has finished the generation (which also makes the
- * next cursor reset race-free). Sessions are independent, each job
- * executes exactly once,
- * and outputs land in caller-fixed job slots, so the result is
- * identical at any thread count — parallelism here is pure wall-clock
- * speedup.
- */
-class StepPool
-{
-  public:
-    explicit StepPool(std::size_t num_threads)
-    {
-        const std::size_t helpers = num_threads > 1 ? num_threads - 1 : 0;
-        helpers_.reserve(helpers);
-        for (std::size_t i = 0; i < helpers; ++i)
-            helpers_.emplace_back([this] { helperLoop(); });
-    }
-
-    ~StepPool()
-    {
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            stop_ = true;
-        }
-        wake_cv_.notify_all();
-        for (auto& t : helpers_)
-            t.join();
-    }
-
-    /** Execute every job once; blocks until all are complete. */
-    void run(std::vector<StepJob>& jobs)
-    {
-        if (helpers_.empty() || jobs.size() <= 1) {
-            for (auto& job : jobs)
-                step(job);
-            return;
-        }
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            // Every helper finished the previous generation before the
-            // previous run() returned, so resetting the shared cursor
-            // is race-free.
-            jobs_ = &jobs;
-            cursor_.store(0, std::memory_order_relaxed);
-            done_ = 0;
-            ++generation_;
-        }
-        wake_cv_.notify_all();
-        drain(jobs); // The caller is a worker too.
-        // Full rendezvous: wait until every helper has drained *this*
-        // generation. Waiting merely for parked helpers would let a
-        // slow helper that never started the generation park-count as
-        // done and then dereference jobs_ after it was reset.
-        std::unique_lock<std::mutex> lk(m_);
-        idle_cv_.wait(lk, [&] { return done_ == helpers_.size(); });
-        jobs_ = nullptr;
-    }
-
-  private:
-    static void step(StepJob& job)
-    {
-        job.seconds = job.session->prefillChunk(job.offset, job.len);
-    }
-
-    void drain(std::vector<StepJob>& jobs)
-    {
-        for (;;) {
-            const std::size_t i =
-                cursor_.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
-                return;
-            step(jobs[i]);
-        }
-    }
-
-    void helperLoop()
-    {
-        std::uint64_t seen = 0;
-        std::unique_lock<std::mutex> lk(m_);
-        for (;;) {
-            wake_cv_.wait(lk,
-                          [&] { return stop_ || generation_ != seen; });
-            if (stop_)
-                return;
-            seen = generation_;
-            std::vector<StepJob>& jobs = *jobs_;
-            lk.unlock();
-            drain(jobs);
-            lk.lock();
-            // Completing under the mutex publishes this helper's step
-            // results to run()'s post-wait reads.
-            ++done_;
-            if (done_ == helpers_.size())
-                idle_cv_.notify_one();
-        }
-    }
-
-    std::vector<std::thread> helpers_;
-    std::mutex m_;
-    std::condition_variable wake_cv_; ///< Helpers wait for a generation.
-    std::condition_variable idle_cv_; ///< run() waits for helpers to park.
-    std::vector<StepJob>* jobs_ = nullptr;
-    std::atomic<std::size_t> cursor_{0};
-    std::uint64_t generation_ = 0;
-    std::size_t done_ = 0; ///< Helpers finished with this generation.
-    bool stop_ = false;
-};
-
 } // namespace
 
 std::uint64_t
@@ -185,6 +53,12 @@ kvBudgetForWorstRequest(const std::vector<TracedRequest>& trace,
                         const ContinuousBatchConfig& sched,
                         std::size_t kv_bytes_per_elem)
 {
+    // A budget below the worst request breaks the scheduler's forward-
+    // progress precondition, and a NaN or negative product would make
+    // the cast below undefined.
+    SPATTEN_ASSERT(std::isfinite(headroom) && headroom >= 1.0,
+                   "KV budget headroom must be finite and >= 1.0, got %g",
+                   headroom);
     const KvPool probe({0, sched.kv_block_tokens, kv_bytes_per_elem});
     std::uint64_t worst = 0;
     for (const TracedRequest& r : trace)
@@ -238,13 +112,6 @@ ContinuousBatchScheduler::ContinuousBatchScheduler(
         if (uniform)
             sched_.kv_capacity_bytes = first;
     }
-    if (sched_.num_threads == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        sched_.num_threads = hw > 0 ? hw : 1;
-    }
-    // A generation never holds more than max_active jobs, so extra
-    // helpers would only add rendezvous cost on wide machines.
-    sched_.num_threads = std::min(sched_.num_threads, sched_.max_active);
 }
 
 ServeReport
@@ -571,8 +438,6 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
     std::vector<BackendSession*> lanes;   ///< This iteration's decodes.
     std::vector<std::size_t> lane_members; ///< Their active[] indices.
     std::vector<double> lane_seconds;
-    std::vector<StepJob> jobs; ///< This iteration's prompt passes.
-    StepPool pool(sched_.num_threads);
     while (finished < n) {
         // ---- Pick the accelerator with the earliest next event ----
         // (ties break to the lowest index, keeping the loop an exact
@@ -738,12 +603,11 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
         const std::uint64_t kv_used = accel.pool.usedBytes();
 
         // ---- One iteration: one batched decode step for every
-        // prefilled resident, then the granted prompt passes (in
-        // parallel on the host), applied in admission order.
-        // Prefilled residents form a prefix of active[] (admission
-        // appends, and prompt passes are granted in admission order),
-        // so "decode lanes first, then prompt passes" IS admission
-        // order. ----
+        // prefilled resident, then the granted prompt passes, each run
+        // and applied in turn. Prefilled residents form a prefix of
+        // active[] (admission appends, and prompt passes are granted in
+        // admission order), so "decode lanes first, then prompt passes"
+        // IS admission order. ----
         lanes.clear();
         lane_members.clear();
         for (std::size_t i = 0; i < accel.active.size(); ++i) {
@@ -752,51 +616,8 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
                 lane_members.push_back(i);
             }
         }
-        // Prompt-pass grants, in admission order. Each resident decode
-        // step above costs one budget token (no budget: unlimited);
-        // prompt passes draw the remainder, capped per pass at
-        // prefill_chunk_tokens, and at most one *partial* pass is
-        // issued per iteration — the Sarathi-style mixed iteration.
-        // Budget exhaustion defers the remaining un-prefilled members
-        // (their full-prompt KV reservations stay put); decode steps
-        // are never deferred, so the batch always advances and prefill
-        // work drains as residents finish.
-        std::size_t budget_left =
-            sched_.iteration_token_budget > 0
-                ? (sched_.iteration_token_budget > lanes.size()
-                       ? sched_.iteration_token_budget - lanes.size()
-                       : 0)
-                : std::numeric_limits<std::size_t>::max();
-        jobs.clear();
-        for (std::size_t i = 0; i < accel.active.size(); ++i) {
-            ActiveSession& m = accel.active[i];
-            if (m.session->prefilled())
-                continue;
-            const WorkloadSpec& w = trace[m.idx].workload;
-            const std::size_t remaining = w.summarize_len - m.prefill_pos;
-            if (w.skip_summarization) {
-                // Pre-summarized prompt: the pass is free, so it
-                // neither draws budget nor counts as the partial pass.
-                jobs.push_back({m.session.get(), i, m.prefill_pos,
-                                remaining, 0.0});
-                continue;
-            }
-            if (budget_left == 0)
-                break;
-            std::size_t len = remaining;
-            if (sched_.prefill_chunk_tokens > 0)
-                len = std::min(len, sched_.prefill_chunk_tokens);
-            len = std::min(len, budget_left);
-            jobs.push_back({m.session.get(), i, m.prefill_pos, len, 0.0});
-            budget_left -= len;
-            if (len < remaining)
-                break; // At most one partial pass per iteration.
-        }
-        SPATTEN_ASSERT(!lanes.empty() || !jobs.empty(),
-                       "iteration with no work on accelerator %zu", best);
         if (!lanes.empty())
             fleet_[best]->stepDecodeBatch(lanes, lane_seconds);
-        pool.run(jobs);
 
         double t = accel.clock_s;
         // A request whose last pass just ran leaves the batch at t.
@@ -826,8 +647,40 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
                 r.first_token_s = t;
             finishIfDone(m, r);
         }
-        for (const StepJob& job : jobs) {
-            ActiveSession& m = accel.active[job.member];
+
+        // Prompt passes, granted, run and applied in admission order.
+        // Each resident decode step above costs one budget token (no
+        // budget: unlimited); prompt passes draw the remainder, capped
+        // per pass at prefill_chunk_tokens, and at most one *partial*
+        // pass is issued per iteration — the Sarathi-style mixed
+        // iteration. Budget exhaustion defers the remaining
+        // un-prefilled members (their full-prompt KV reservations stay
+        // put); decode steps are never deferred, so the batch always
+        // advances and prefill work drains as residents finish.
+        std::size_t budget_left =
+            sched_.iteration_token_budget > 0
+                ? (sched_.iteration_token_budget > lanes.size()
+                       ? sched_.iteration_token_budget - lanes.size()
+                       : 0)
+                : std::numeric_limits<std::size_t>::max();
+        std::size_t passes = 0;
+        for (std::size_t i = 0; i < accel.active.size(); ++i) {
+            ActiveSession& m = accel.active[i];
+            if (m.session->prefilled())
+                continue;
+            const WorkloadSpec& w = trace[m.idx].workload;
+            const std::size_t remaining = w.summarize_len - m.prefill_pos;
+            std::size_t len = remaining;
+            // A pre-summarized prompt's pass is free, so it neither
+            // draws budget nor counts as the partial pass.
+            if (!w.skip_summarization) {
+                if (budget_left == 0)
+                    break;
+                if (sched_.prefill_chunk_tokens > 0)
+                    len = std::min(len, sched_.prefill_chunk_tokens);
+                len = std::min(len, budget_left);
+                budget_left -= len;
+            }
             ServedRequest& r = rep.requests[m.idx];
             if (m.promote_s > 0) {
                 // The admission's DRAM -> HBM promotion burst completes
@@ -842,17 +695,24 @@ ContinuousBatchScheduler::run(const std::vector<TracedRequest>& trace)
                 rep.promotion_stall_s += m.promote_s;
                 m.promote_s = 0;
             }
-            t += job.seconds;
-            r.service_seconds += job.seconds;
-            m.prefill_pos = job.offset + job.len;
+            const double pass_s =
+                m.session->prefillChunk(m.prefill_pos, len);
+            t += pass_s;
+            r.service_seconds += pass_s;
+            m.prefill_pos += len;
             ++r.prefill_chunks;
+            ++passes;
             // TTFT semantics under chunking: the request stays in
             // Prefill until its final pass lands; its first token is
             // the first decode completion after that.
             if (m.session->prefilled())
                 r.phase = RequestPhase::Decoding;
             finishIfDone(m, r);
+            if (len < remaining)
+                break; // At most one partial pass per iteration.
         }
+        SPATTEN_ASSERT(!lanes.empty() || passes > 0,
+                       "iteration with no work on accelerator %zu", best);
         // Per-member charging audit (mixed prefill/decode iterations):
         // iter_s is the serialized sum of the steps that actually ran —
         // members granted no work this iteration (deferred prefills)

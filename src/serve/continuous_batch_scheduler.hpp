@@ -27,7 +27,7 @@
  * baselines/baseline_backends.hpp) whose dense KV grows one token per
  * step. The legacy (SpAttenConfig, ContinuousBatchConfig) constructor
  * builds an all-SpAtten fleet and is bit-identical to the
- * pre-abstraction scheduler at every thread count.
+ * pre-abstraction scheduler.
  *
  * Scheduling is KV-capacity-aware: every accelerator owns a KvPool
  * (serve/kv_pool.hpp) whose byte budget derives from the HBM capacity
@@ -41,14 +41,13 @@
  * priority (descending), or shortest-prompt-first.
  *
  * Determinism contract (pinned by tests/test_continuous_scheduler.cpp):
- * the report is a pure function of (config, trace). Host worker threads
- * only parallelize the independent prompt passes inside one iteration;
- * the single-threaded coordinator runs the batched decode call, makes
- * every admission and preemption decision, and applies step results in
- * admission order (decode lanes, then prompt passes in grant order),
- * so every timestamp, metric, and per-request result is bit-identical
- * at any num_threads — including under preemption. Per-request
- * *service* results (step costs, KV trajectory, cycles, energy) depend
+ * the report is a pure function of (config, trace). run() executes on
+ * the calling thread alone: it makes every admission and preemption
+ * decision, issues the batched decode call, and runs and applies each
+ * prompt pass in turn, always in admission order (decode lanes, then
+ * prompt passes in grant order), so two runs of one (config, trace)
+ * agree on every timestamp, metric, and per-request result — including
+ * under preemption. Per-request *service* results (step costs, KV trajectory, cycles, energy) depend
  * only on (config, workload, policy, seed) — never on placement — so
  * while no preemption occurs they are also bit-identical across
  * accelerator shard counts; a preempted request's service time
@@ -113,9 +112,9 @@ struct ContinuousBatchConfig
     std::size_t max_active = 8;
     ShardPolicy shard = ShardPolicy::LeastLoaded;
     QueuePolicy queue = QueuePolicy::Fifo;
-    /// Host threads for the per-iteration prompt passes (decode steps
-    /// always run in the coordinator's one batched backend call);
-    /// 0 = one per hardware thread. Never affects simulated results.
+    /// Ignored: run() executes on the calling thread alone. The field
+    /// remains only because perfbench/serve_workloads.cpp still sets
+    /// it; it goes when that benchmark code next changes.
     std::size_t num_threads = 0;
     /// SLO for goodput accounting: a finished request counts as good
     /// when its TTFT <= slo_ttft_s and its *per-request mean* ITL
@@ -368,7 +367,7 @@ class ContinuousBatchScheduler
     /**
      * Serve every request of @p trace to completion and aggregate.
      * Deterministic: a pure function of (fleet configs, sched config,
-     * trace), independent of num_threads; per-request service results
+     * trace); per-request service results
      * on a homogeneous fleet are also independent of the slot count and
      * shard policy.
      */

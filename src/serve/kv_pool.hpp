@@ -52,8 +52,8 @@
  * code path above is untouched and the pool is bit-identical to the
  * single-budget allocator.
  *
- * The pool is plain deterministic bookkeeping driven by the scheduler's
- * single-threaded coordinator; it never touches simulated time.
+ * The pool is plain deterministic bookkeeping driven by the
+ * single-threaded scheduler; it never touches simulated time.
  */
 #ifndef SPATTEN_SERVE_KV_POOL_HPP
 #define SPATTEN_SERVE_KV_POOL_HPP

@@ -3,7 +3,7 @@
 /// sessions share no state, so every observable must be bit-identical
 /// to the serial decodeStep() loop — directly at the backend level, and
 /// end-to-end through the scheduler against a serial oracle backend
-/// across thread counts, shard counts, chunked prefill, and prefix
+/// across shard counts, chunked prefill, and prefix
 /// caching. The scheduler's only decode entry is stepDecodeBatch: every
 /// generated token goes through it, mixed prefill+decode iterations
 /// included.
@@ -337,13 +337,11 @@ serve(const std::vector<TracedRequest>& trace, ContinuousBatchConfig sc)
     return ContinuousBatchScheduler(SpAttenConfig{}, sc).run(trace);
 }
 
-/// The oracle run: every slot decodes through the serial default loop,
-/// one thread.
+/// The oracle run: every slot decodes through the serial default loop.
 ServeReport
 serveSerial(const std::vector<TracedRequest>& trace,
-            ContinuousBatchConfig sc)
+            const ContinuousBatchConfig& sc)
 {
-    sc.num_threads = 1;
     return ContinuousBatchScheduler(
                AcceleratorFleet(sc.num_accelerators,
                                 std::make_shared<const SerialSpAtten>()),
@@ -351,31 +349,25 @@ serveSerial(const std::vector<TracedRequest>& trace,
         .run(trace);
 }
 
-TEST(BatchedDecode, SchedulerBatchedMatchesPerJobAcrossThreadsAndShards)
+TEST(BatchedDecode, SchedulerBatchedMatchesPerJobAcrossShards)
 {
     const auto trace = denseTrace(20);
     for (const std::size_t accels : {std::size_t{1}, std::size_t{2}}) {
         ContinuousBatchConfig sc;
         sc.num_accelerators = accels;
         sc.max_active = 6;
-        const ServeReport baseline = serveSerial(trace, sc);
-
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-            sc.num_threads = threads;
-            expectSameReport(baseline, serve(trace, sc));
-        }
+        expectSameReport(serveSerial(trace, sc), serve(trace, sc));
     }
 }
 
 TEST(BatchedDecode, SchedulerBatchedMatchesWithChunkedPrefill)
 {
     // Chunked prefill makes many iterations mixed: their decode lanes
-    // batch while the prompt chunks run on the pool, and every kind of
-    // iteration must agree with the serial oracle.
+    // batch and the prompt chunks follow, and every kind of iteration
+    // must agree with the serial oracle.
     const auto trace = denseTrace(16);
     ContinuousBatchConfig sc;
     sc.max_active = 6;
-    sc.num_threads = 1;
     sc.prefill_chunk_tokens = 32;
     sc.iteration_token_budget = 48;
     expectSameReport(serveSerial(trace, sc), serve(trace, sc));
@@ -386,7 +378,6 @@ TEST(BatchedDecode, SchedulerBatchedMatchesWithPrefixCaching)
     const auto trace = sharedPrefixTrace();
     ContinuousBatchConfig sc;
     sc.max_active = 6;
-    sc.num_threads = 1;
     sc.enable_prefix_caching = true;
     expectSameReport(serveSerial(trace, sc), serve(trace, sc));
 }
@@ -413,7 +404,6 @@ TEST(BatchedDecode, EveryDecodeTokenTakesTheBatchEntryWithChunkedPrefill)
 {
     ContinuousBatchConfig sc;
     sc.max_active = 6;
-    sc.num_threads = 1;
     sc.prefill_chunk_tokens = 32;
     sc.iteration_token_budget = 48;
     expectEveryTokenBatched(denseTrace(16), sc);
@@ -423,7 +413,6 @@ TEST(BatchedDecode, EveryDecodeTokenTakesTheBatchEntryWithPrefixCaching)
 {
     ContinuousBatchConfig sc;
     sc.max_active = 6;
-    sc.num_threads = 1;
     sc.enable_prefix_caching = true;
     expectEveryTokenBatched(sharedPrefixTrace(), sc);
 }

@@ -2,7 +2,7 @@
 /// ride-alongs: session-level chunk-vs-monolithic bit-identity of the
 /// KV trajectory and decode stream (SpAtten and the dense adapters),
 /// the scheduler's chunk-size=infinity and chunking-off legacy
-/// equivalence, thread-count and shard-count determinism with chunking
+/// equivalence, run-to-run and shard-count determinism with chunking
 /// on, composition with shared-prefix caching, mid-prefill preemption
 /// recovery, the iteration token budget's chunk arithmetic, bounded
 /// admission skip-ahead (with FIFO's strict-order guarantee), per-accel
@@ -219,27 +219,23 @@ TEST(ChunkedScheduler, InfiniteChunkSizeIsBitIdenticalToMonolithic)
             << "an uncapped grant is one monolithic prompt pass";
 }
 
-TEST(ChunkedScheduler, ChunkedRunBitIdenticalAcrossThreads)
+TEST(ChunkedScheduler, ChunkedRepeatedRunsAreIdentical)
 {
     const auto trace = denseSaturatingTrace();
     ContinuousBatchConfig sc = cappedConfig(trace);
     sc.prefill_chunk_tokens = 32;
     sc.iteration_token_budget = 48;
-    sc.num_threads = 1;
     const ServeReport ref = serve(trace, sc);
     ASSERT_GE(ref.preemptions, 1u) << "the scenario must have pressure";
     bool any_split = false;
     for (const ServedRequest& req : ref.requests)
         any_split |= req.prefill_chunks > 1;
     EXPECT_TRUE(any_split) << "48..160-token prompts at chunk 32 must split";
-    for (const std::size_t threads : {2u, 8u}) {
-        sc.num_threads = threads;
-        const ServeReport r = serve(trace, sc);
-        expectSameReport(ref, r);
-        for (std::size_t i = 0; i < r.requests.size(); ++i)
-            EXPECT_EQ(r.requests[i].prefill_chunks,
-                      ref.requests[i].prefill_chunks);
-    }
+    const ServeReport r = serve(trace, sc);
+    expectSameReport(ref, r);
+    for (std::size_t i = 0; i < r.requests.size(); ++i)
+        EXPECT_EQ(r.requests[i].prefill_chunks,
+                  ref.requests[i].prefill_chunks);
 }
 
 TEST(ChunkedScheduler, ChunkStreamIsPlacementIndependent)

@@ -1,12 +1,13 @@
 /// Property tests for the continuous-batching serving stack: arrival
 /// traces, DecodeSession KV-carry semantics, the scheduler's determinism
-/// contract (thread-count and shard-count bit-identity), FIFO fairness,
+/// contract (run-to-run and shard-count bit-identity), FIFO fairness,
 /// bounded queue delay, metric coherence, and the KV-capacity layer
 /// (KvPool accounting, admission control, preemption-and-recompute,
 /// priority / shortest-prompt-first queue policies).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "accel/decode_session.hpp"
 #include "accel/spatten_accelerator.hpp"
@@ -211,36 +212,6 @@ TEST(DecodeSession, SkipSummarizationEntersDecodeWithFullPromptKv)
 // Scheduler determinism
 // ---------------------------------------------------------------------
 
-TEST(ContinuousScheduler, BitIdenticalAcrossThreadCounts)
-{
-    const auto trace = generatePoissonTrace(tinyTraceConfig(20));
-    ContinuousBatchConfig sc;
-    sc.num_accelerators = 2;
-    sc.max_active = 4;
-    sc.num_threads = 1;
-    const ServeReport ref = serve(trace, sc);
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-        sc.num_threads = threads;
-        const ServeReport r = serve(trace, sc);
-        ASSERT_EQ(r.requests.size(), ref.requests.size());
-        for (std::size_t i = 0; i < r.requests.size(); ++i) {
-            expectSameService(r.requests[i], ref.requests[i]);
-            EXPECT_EQ(r.requests[i].admit_s, ref.requests[i].admit_s)
-                << "request " << i << " at " << threads << " threads";
-            EXPECT_EQ(r.requests[i].first_token_s,
-                      ref.requests[i].first_token_s);
-            EXPECT_EQ(r.requests[i].finish_s, ref.requests[i].finish_s);
-            EXPECT_EQ(r.requests[i].token_times_s,
-                      ref.requests[i].token_times_s);
-            EXPECT_EQ(r.requests[i].accel, ref.requests[i].accel);
-        }
-        EXPECT_EQ(r.makespan_s, ref.makespan_s);
-        EXPECT_EQ(r.ttft_p99_s, ref.ttft_p99_s);
-        EXPECT_EQ(r.itl_p99_s, ref.itl_p99_s);
-        EXPECT_EQ(r.goodput_rps, ref.goodput_rps);
-    }
-}
-
 TEST(ContinuousScheduler, ServiceResultsBitIdenticalAcrossShardCounts)
 {
     const auto trace = generatePoissonTrace(tinyTraceConfig(20));
@@ -268,8 +239,19 @@ TEST(ContinuousScheduler, RepeatedRunsAreIdentical)
     EXPECT_EQ(a.makespan_s, b.makespan_s);
     EXPECT_EQ(a.total_cycles, b.total_cycles);
     EXPECT_EQ(a.total_energy_j, b.total_energy_j);
-    for (std::size_t i = 0; i < a.requests.size(); ++i)
+    EXPECT_EQ(a.ttft_p99_s, b.ttft_p99_s);
+    EXPECT_EQ(a.itl_p99_s, b.itl_p99_s);
+    EXPECT_EQ(a.goodput_rps, b.goodput_rps);
+    ASSERT_EQ(a.requests.size(), b.requests.size());
+    for (std::size_t i = 0; i < a.requests.size(); ++i) {
+        expectSameService(a.requests[i], b.requests[i]);
+        EXPECT_EQ(a.requests[i].admit_s, b.requests[i].admit_s)
+            << "request " << i;
+        EXPECT_EQ(a.requests[i].first_token_s, b.requests[i].first_token_s);
         EXPECT_EQ(a.requests[i].finish_s, b.requests[i].finish_s);
+        EXPECT_EQ(a.requests[i].token_times_s, b.requests[i].token_times_s);
+        EXPECT_EQ(a.requests[i].accel, b.requests[i].accel);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -658,6 +640,32 @@ cappedConfig(const std::vector<TracedRequest>& trace)
     return sc;
 }
 
+TEST(ContinuousSchedulerDeathTest, KvBudgetHeadroomMustBeFiniteAndAtLeastOne)
+{
+    // Below 1.0 the worst request cannot fit alone, and a NaN or
+    // negative headroom would reach an undefined float-to-integer cast.
+    const auto trace = denseSaturatingTrace(4);
+    const ContinuousBatchConfig sc;
+    EXPECT_DEATH(kvBudgetForWorstRequest(trace, 0.5, sc), "got 0.5");
+    EXPECT_DEATH(kvBudgetForWorstRequest(trace, -1.0, sc), "got -1");
+    EXPECT_DEATH(kvBudgetForWorstRequest(
+                     trace, std::numeric_limits<double>::quiet_NaN(), sc),
+                 "got -?nan");
+    EXPECT_DEATH(kvBudgetForWorstRequest(
+                     trace, std::numeric_limits<double>::infinity(), sc),
+                 "got inf");
+
+    // 1.0 itself is legal: exactly the worst request's block-rounded KV.
+    const KvPool probe({0, sc.kv_block_tokens, 2});
+    std::uint64_t worst = 0;
+    for (const TracedRequest& r : trace)
+        worst = std::max(worst, probe.bytesForTokens(
+                                    r.workload.model,
+                                    r.workload.summarize_len +
+                                        r.workload.generate_len));
+    EXPECT_EQ(kvBudgetForWorstRequest(trace, 1.0, sc), worst);
+}
+
 TEST(ContinuousScheduler, MemoryCappedRunPreemptsAndFinishesEveryone)
 {
     const auto trace = denseSaturatingTrace();
@@ -720,34 +728,6 @@ TEST(ContinuousScheduler, CascadePruningAdmitsHigherConcurrency)
     EXPECT_LE(pruned.preemptions, dense.preemptions);
 }
 
-TEST(ContinuousScheduler, MemoryCappedRunBitIdenticalAcrossThreads)
-{
-    const auto trace = denseSaturatingTrace();
-    ContinuousBatchConfig sc = cappedConfig(trace);
-    sc.num_threads = 1;
-    const ServeReport ref = serve(trace, sc);
-    ASSERT_GE(ref.preemptions, 1u) << "the scenario must have pressure";
-    for (const std::size_t threads : {2u, 8u}) {
-        sc.num_threads = threads;
-        const ServeReport r = serve(trace, sc);
-        EXPECT_EQ(r.preemptions, ref.preemptions);
-        EXPECT_EQ(r.recompute_tokens, ref.recompute_tokens);
-        EXPECT_EQ(r.peak_concurrency, ref.peak_concurrency);
-        EXPECT_EQ(r.kv_peak_bytes, ref.kv_peak_bytes);
-        EXPECT_EQ(r.kv_mean_bytes, ref.kv_mean_bytes);
-        EXPECT_EQ(r.makespan_s, ref.makespan_s);
-        for (std::size_t i = 0; i < r.requests.size(); ++i) {
-            EXPECT_EQ(r.requests[i].preemptions,
-                      ref.requests[i].preemptions);
-            EXPECT_EQ(r.requests[i].finish_s, ref.requests[i].finish_s);
-            EXPECT_EQ(r.requests[i].token_times_s,
-                      ref.requests[i].token_times_s);
-            EXPECT_EQ(r.requests[i].service_seconds,
-                      ref.requests[i].service_seconds);
-        }
-    }
-}
-
 TEST(ContinuousScheduler, PreemptedRequestsRespectCausalityAcrossAccels)
 {
     // A preempted request re-enters the queue eligible from its
@@ -778,12 +758,22 @@ TEST(ContinuousScheduler, MemoryCappedRepeatedRunsAreIdentical)
     const auto trace = denseSaturatingTrace(12);
     ContinuousBatchConfig sc = cappedConfig(trace);
     const ServeReport a = serve(trace, sc);
+    ASSERT_GE(a.preemptions, 1u) << "the scenario must have pressure";
     const ServeReport b = serve(trace, sc);
     EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.recompute_tokens, b.recompute_tokens);
+    EXPECT_EQ(a.peak_concurrency, b.peak_concurrency);
     EXPECT_EQ(a.makespan_s, b.makespan_s);
     EXPECT_EQ(a.kv_peak_bytes, b.kv_peak_bytes);
-    for (std::size_t i = 0; i < a.requests.size(); ++i)
+    EXPECT_EQ(a.kv_mean_bytes, b.kv_mean_bytes);
+    ASSERT_EQ(a.requests.size(), b.requests.size());
+    for (std::size_t i = 0; i < a.requests.size(); ++i) {
+        EXPECT_EQ(a.requests[i].preemptions, b.requests[i].preemptions);
         EXPECT_EQ(a.requests[i].finish_s, b.requests[i].finish_s);
+        EXPECT_EQ(a.requests[i].token_times_s, b.requests[i].token_times_s);
+        EXPECT_EQ(a.requests[i].service_seconds,
+                  b.requests[i].service_seconds);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1135,11 +1125,12 @@ TEST(PrefixCaching, SharingRaisesConcurrencyUnderSameBudget)
         EXPECT_EQ(req.phase, RequestPhase::Finished);
 }
 
-TEST(PrefixCaching, CacheOnRunIsBitIdenticalAcrossThreadCounts)
+TEST(PrefixCaching, CacheOnRepeatedRunsAreIdentical)
 {
     // The determinism contract extends to caching + copy-on-write
     // preemption: the full report is a pure function of (config,
-    // trace) at any host thread count.
+    // trace), so two fresh runs agree — an iteration-order leak from
+    // KvPool's prefix hash index would show here.
     auto sp = tinySharedPrefixConfig(16);
     sp.base.mean_interarrival_s = 0.02e-3;
     const auto trace = generateSharedPrefixTrace(sp);
@@ -1148,24 +1139,21 @@ TEST(PrefixCaching, CacheOnRunIsBitIdenticalAcrossThreadCounts)
     sc.kv_block_tokens = 4;
     sc.kv_capacity_bytes = kvBudgetForWorstRequest(trace, 1.25, sc);
     sc.enable_prefix_caching = true;
-    sc.num_threads = 1;
     const ServeReport ref = serve(trace, sc);
-    for (const std::size_t threads : {2u, 8u}) {
-        sc.num_threads = threads;
-        const ServeReport r = serve(trace, sc);
-        EXPECT_EQ(r.makespan_s, ref.makespan_s);
-        EXPECT_EQ(r.preemptions, ref.preemptions);
-        EXPECT_EQ(r.prefix_cache_hits, ref.prefix_cache_hits);
-        EXPECT_EQ(r.prefix_cached_tokens, ref.prefix_cached_tokens);
-        EXPECT_EQ(r.cow_copied_blocks, ref.cow_copied_blocks);
-        for (std::size_t i = 0; i < r.requests.size(); ++i) {
-            EXPECT_EQ(r.requests[i].token_times_s,
-                      ref.requests[i].token_times_s);
-            EXPECT_EQ(r.requests[i].first_token_s,
-                      ref.requests[i].first_token_s);
-            EXPECT_EQ(r.requests[i].cached_prefix_tokens,
-                      ref.requests[i].cached_prefix_tokens);
-        }
+    const ServeReport r = serve(trace, sc);
+    EXPECT_EQ(r.makespan_s, ref.makespan_s);
+    EXPECT_EQ(r.preemptions, ref.preemptions);
+    EXPECT_EQ(r.prefix_cache_hits, ref.prefix_cache_hits);
+    EXPECT_EQ(r.prefix_cached_tokens, ref.prefix_cached_tokens);
+    EXPECT_EQ(r.cow_copied_blocks, ref.cow_copied_blocks);
+    ASSERT_EQ(r.requests.size(), ref.requests.size());
+    for (std::size_t i = 0; i < r.requests.size(); ++i) {
+        EXPECT_EQ(r.requests[i].token_times_s,
+                  ref.requests[i].token_times_s);
+        EXPECT_EQ(r.requests[i].first_token_s,
+                  ref.requests[i].first_token_s);
+        EXPECT_EQ(r.requests[i].cached_prefix_tokens,
+                  ref.requests[i].cached_prefix_tokens);
     }
 }
 

@@ -4,11 +4,15 @@
 /// bit for bit regardless of the other far-memory knobs, cache on and
 /// off — end-to-end migration accounting coherence (counters, energy,
 /// promotion stalls) with the hit-rate gain tiering buys at an equal
-/// HBM budget, and thread-count determinism with migration on.
+/// HBM budget, run-to-run determinism with migration on, and the order
+/// in which one mixed iteration applies its decode lanes, promotion
+/// stall and prompt passes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/spatten_accelerator.hpp"
@@ -315,18 +319,159 @@ TEST(TieredServe, PromotionLatencyFollowsTheFarMemoryKnobs)
     EXPECT_GT(slow.ttft_p99_s, 0.0);
 }
 
-TEST(TieredServe, TieredRunIsBitIdenticalAcrossThreadCounts)
+TEST(TieredServe, TieredRepeatedRunsAreIdentical)
 {
     const auto trace = churningSharedPrefixTrace();
     ContinuousBatchConfig sc = tightCachingConfig(trace);
     sc.far_memory.capacity_gb = 64.0 / 1024.0;
-    sc.num_threads = 1;
     const ServeReport ref = serve(trace, sc);
     ASSERT_GT(ref.kv_migrated_bytes, 0u);
-    for (const std::size_t threads : {2u, 8u}) {
-        sc.num_threads = threads;
-        expectSameReport(ref, serve(trace, sc));
+    expectSameReport(ref, serve(trace, sc));
+}
+
+// ---------------------------------------------------------------------
+// Iteration apply order
+// ---------------------------------------------------------------------
+
+constexpr double kPromptPassS = 1e-3; ///< Every prompt pass, any length.
+constexpr double kDecodeStepS = 1e-6; ///< Every decode step.
+
+/// A dense-KV session whose passes cost fixed simulated time, so each
+/// timestamp of a run says exactly which passes preceded it.
+class FixedCostSession : public BackendSession
+{
+  public:
+    explicit FixedCostSession(const WorkloadSpec& w) : w_(w) {}
+
+    double prefillChunk(std::size_t offset, std::size_t len) override
+    {
+        SPATTEN_ASSERT(offset == pos_ || (pos_ == 0 && offset > 0),
+                       "chunk at %zu after %zu", offset, pos_);
+        pos_ = offset + len;
+        if (prefilled())
+            kv_trace_.push_back(kvLength());
+        return kPromptPassS;
     }
+    double decodeStep() override
+    {
+        ++tokens_;
+        kv_trace_.push_back(kvLength());
+        return kDecodeStepS;
+    }
+    bool prefilled() const override { return pos_ == w_.summarize_len; }
+    bool done() const override
+    {
+        return prefilled() && tokens_ == w_.generate_len;
+    }
+    std::size_t kvLength() const override { return pos_ + tokens_; }
+    const std::vector<std::size_t>& kvTrace() const override
+    {
+        return kv_trace_;
+    }
+    const WorkloadSpec& workload() const override { return w_; }
+    RunResult finalize() const override { return {}; }
+
+  private:
+    WorkloadSpec w_;
+    std::size_t pos_ = 0;
+    std::size_t tokens_ = 0;
+    std::vector<std::size_t> kv_trace_;
+};
+
+class FixedCostBackend : public AcceleratorBackend
+{
+  public:
+    std::string backendName() const override { return "fixed-cost"; }
+    BackendCapabilities capabilities() const override { return {}; }
+    std::uint64_t capacityBytes() const override { return 1ull << 30; }
+    std::size_t kvBytesPerElem() const override { return 2; }
+    std::unique_ptr<BackendSession>
+    makeSession(const WorkloadSpec& w, const PruningPolicy&,
+                std::uint64_t) const override
+    {
+        return std::make_unique<FixedCostSession>(w);
+    }
+};
+
+TracedRequest
+fixedRequest(std::size_t id, double arrival_s, std::size_t prompt_len,
+             std::size_t generate_len,
+             std::vector<std::uint64_t> content = {})
+{
+    TracedRequest r;
+    r.id = id;
+    r.arrival_s = arrival_s;
+    r.workload.name = "fixed-" + std::to_string(id);
+    r.workload.model = tinyModel();
+    r.workload.summarize_len = prompt_len;
+    r.workload.generate_len = generate_len;
+    r.prompt_tokens = std::move(content);
+    return r;
+}
+
+TEST(IterationOrder, DecodeLanesThenPromotionStallThenPromptPassesInGrantOrder)
+{
+    // One 16-block HBM slot, a DRAM tier, 32-token chunks:
+    //  P (t=0)    caches a 2-block prompt and leaves it cold in HBM;
+    //  Q (t=2ms)  fills all 16 blocks, demoting P's blocks to DRAM;
+    //  A, B (20ms) prefill together, then decode;
+    //  C, D (21ms) join A and B's first decode iteration at 22ms. C hits
+    //             P's blocks in DRAM (promotion stall) and needs one
+    //             16-token pass; D's 48-token prompt takes a partial
+    //             32-token pass.
+    std::vector<TracedRequest> trace;
+    trace.push_back(fixedRequest(0, 0.0, 32, 0, prompt(7, 32)));   // P
+    trace.push_back(fixedRequest(1, 2e-3, 256, 0));                // Q
+    trace.push_back(fixedRequest(2, 20e-3, 16, 3));                // A
+    trace.push_back(fixedRequest(3, 20e-3, 16, 3));                // B
+    trace.push_back(fixedRequest(4, 21e-3, 48, 0, prompt(7, 48))); // C
+    trace.push_back(fixedRequest(5, 21e-3, 48, 1));                // D
+
+    ContinuousBatchConfig sc;
+    sc.max_active = 8;
+    sc.enable_prefix_caching = true;
+    sc.kv_capacity_bytes = 16 * kBlockBytes;
+    sc.far_memory.capacity_gb = 64.0 / 1024.0;
+    sc.prefill_chunk_tokens = 32;
+    const ServeReport rep =
+        ContinuousBatchScheduler(
+            AcceleratorFleet{std::make_shared<const FixedCostBackend>()},
+            sc)
+            .run(trace);
+    const ServedRequest& a = rep.requests[2];
+    const ServedRequest& b = rep.requests[3];
+    const ServedRequest& c = rep.requests[4];
+    const ServedRequest& d = rep.requests[5];
+
+    // The fixture: both of P's blocks went to DRAM and came back for C.
+    ASSERT_EQ(rep.kv_promoted_bytes, 2 * kBlockBytes);
+    ASSERT_EQ(c.cached_prefix_tokens, 32u);
+    ASSERT_EQ(a.admit_s, 20e-3);
+    const double stall = sc.far_memory.transferSeconds(2 * kBlockBytes);
+    ASSERT_GT(stall, 0.0);
+    EXPECT_EQ(rep.promotion_stall_s, stall);
+
+    // Replay the mixed iteration's clock in the scheduler's own
+    // accumulation order; every comparison is exact.
+    double t = 20e-3;
+    t += kPromptPassS; // A's prompt.
+    t += kPromptPassS; // B's prompt.
+    EXPECT_EQ(c.admit_s, t);
+    EXPECT_EQ(d.admit_s, t);
+    t += kDecodeStepS; // Decode lanes in admission order: A, then B.
+    EXPECT_EQ(a.token_times_s.at(0), t);
+    t += kDecodeStepS;
+    EXPECT_EQ(b.token_times_s.at(0), t);
+    t += stall; // C's promotion lands before its first prompt pass.
+    t += kPromptPassS;
+    EXPECT_EQ(c.finish_s, t) << "C's pass runs right after the stall";
+    EXPECT_EQ(c.service_seconds, stall + kPromptPassS);
+    t += kPromptPassS; // D's partial pass, granted after C's.
+    t += kDecodeStepS; // Next iteration: A's second token.
+    EXPECT_EQ(a.token_times_s.at(1), t);
+    EXPECT_EQ(d.prefill_chunks, 2u);
+    for (const ServedRequest& r : rep.requests)
+        EXPECT_EQ(r.phase, RequestPhase::Finished);
 }
 
 } // namespace
